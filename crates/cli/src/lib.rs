@@ -193,10 +193,10 @@ pub fn cmd_optimize_profiled(src: &str, opts: &Options) -> Result<(Profiled, Str
 /// server excludes them from responses.
 fn append_search_footer(
     out: &mut String,
-    before: mbb_search::ScoreCacheStats,
+    before: mbb_core::memo::MemoStats,
     sim: mbb_bench::runner::Measure,
 ) {
-    let after = mbb_search::ScoreCache::global().stats();
+    let after = mbb_search::cache::global().stats();
     let _ = writeln!(
         out,
         "  search cache: {} hit(s), {} miss(es)",
@@ -213,7 +213,7 @@ pub fn cmd_optimize_search(
     sp: &SearchParams,
 ) -> Result<(String, String), ServeError> {
     let p = load(src)?;
-    let cache_before = mbb_search::ScoreCache::global().stats();
+    let cache_before = mbb_search::cache::global().stats();
     let meter = mbb_bench::runner::Meter::start();
     let (a, optimized) = analysis::optimize_search(&p, opts, sp)?;
     let mut out = a.text;

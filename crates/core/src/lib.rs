@@ -21,7 +21,9 @@
 //!   values are consumed in-iteration and never needed again, §3.3 /
 //!   Figures 7–8;
 //! * [`pipeline`] — the complete compiler strategy (fuse → shrink/peel →
-//!   eliminate stores) with dynamic equivalence verification.
+//!   eliminate stores) with dynamic equivalence verification;
+//! * [`canon`] and [`memo`] — the content address of a program and the
+//!   one single-flight cache (server results, search scores) keyed by it.
 
 pub mod advisor;
 pub mod balance;
@@ -31,12 +33,14 @@ pub mod embed;
 pub mod expand;
 pub mod fusion;
 pub mod interchange;
+pub mod memo;
 pub mod mutate;
 pub mod pipeline;
 pub mod profile;
 pub mod regroup;
 pub mod storage;
 pub mod stores;
+pub mod sync;
 pub mod transform;
 
 pub use balance::{measure_program_balance, BalanceRatios, ProgramBalance};

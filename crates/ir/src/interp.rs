@@ -212,11 +212,8 @@ pub struct RunResult {
 /// Deterministic pseudo-random value in `[0, 1)` for input stream `src` at
 /// linearised position `key` (SplitMix64 over the pair).
 pub fn input_value(src: SourceId, key: u64) -> f64 {
-    let mut z = (u64::from(src.0) << 32) ^ key ^ 0x9E37_79B9_7F4A_7C15;
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    use crate::splitmix::{splitmix64, GAMMA};
+    let z = splitmix64((u64::from(src.0) << 32) ^ key ^ GAMMA);
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 

@@ -36,6 +36,7 @@ pub mod pretty;
 pub mod program;
 pub mod ranges;
 pub mod runs;
+pub mod splitmix;
 pub mod trace;
 pub mod validate;
 

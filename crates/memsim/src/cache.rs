@@ -229,10 +229,7 @@ impl Cache {
     #[inline]
     pub(crate) fn frame_of_page(&self, page_num: u64) -> u64 {
         let shift = self.shuffle_shift.expect("frame_of_page needs a shuffled index");
-        let mut z = page_num.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) << shift
+        mbb_ir::splitmix::splitmix64(page_num) << shift
     }
 
     /// Shuffle granularity as `log2(lines per page)` (`None` = identity

@@ -28,8 +28,8 @@ pub(crate) fn record() {
 #[inline]
 pub(crate) fn record_n(n: u64) {
     SIM_EVENTS.with(|c| c.set(c.get().wrapping_add(n)));
-    // Mirror into the span-attribution odometer; inert (one relaxed
-    // load) unless an mbb-obs Full collector is live.
+    // Mirror into the span-attribution odometer; inert (one thread-local
+    // load) unless this thread has an mbb-obs Full collector live.
     mbb_obs::tick_accesses(n);
 }
 

@@ -154,3 +154,27 @@ fn without_a_collector_the_simulation_is_unobserved() {
     h.flush();
     assert_eq!(mbb_obs::snapshot(), before, "no Full collector → no odometer movement");
 }
+
+#[test]
+fn another_threads_full_collector_leaves_this_thread_unobserved() {
+    let (open, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    let (flags, before, after) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let c = collect(Mode::Full);
+            open.wait(); // the collector stays live while the sibling simulates
+            done.wait();
+            drop(c);
+        });
+        open.wait();
+        let flags = (mbb_obs::timing_enabled(), mbb_obs::counters_enabled());
+        let before = mbb_obs::snapshot();
+        let mut h = two_level();
+        h.access_block(&mixed_trace());
+        h.flush();
+        let after = mbb_obs::snapshot();
+        done.wait();
+        (flags, before, after)
+    });
+    assert_eq!(flags, (false, false), "span and tick sites here must stay inert");
+    assert_eq!(after, before, "another thread's collector moved this odometer");
+}

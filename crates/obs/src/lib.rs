@@ -17,18 +17,21 @@
 //!
 //! ## Cost when disabled
 //!
-//! Two global flags gate everything, both read with one relaxed atomic
-//! load:
+//! Two flags gate everything, both derived from the calling thread's own
+//! collector stack and read with one thread-local load:
 //!
-//! * [`timing_enabled`] — true while *any* collector exists.  A span site
-//!   with no collector anywhere is one load and one branch: no clock
-//!   read, no allocation.
-//! * [`counters_enabled`] — true while a [`Mode::Full`] collector exists.
-//!   Gates the per-event odometer ticks on the simulator hot path.
+//! * [`timing_enabled`] — true while *any* collector is live on this
+//!   thread.  A span site with no collector is one load and one branch:
+//!   no clock read, no allocation.
+//! * [`counters_enabled`] — true while a [`Mode::Full`] collector is live
+//!   on this thread.  Gates the per-event odometer ticks on the simulator
+//!   hot path.
 //!
-//! The `repro gate` perf budget is protected by exactly this property:
-//! tracing is compiled in everywhere but costs ~one relaxed load per
-//! site until someone collects.
+//! The flags are per thread, like the odometer and the collectors: one
+//! thread's collection never turns on another thread's span sites or
+//! moves its odometer.  The `repro gate` perf budget is protected by
+//! exactly this property: tracing is compiled in everywhere but costs
+//! ~one load per site until the thread collects.
 //!
 //! ## Attribution invariant
 //!
@@ -41,7 +44,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Fixed capacity of the per-level counter rows.  Real hierarchies in
@@ -53,27 +56,41 @@ pub const MAX_CHANNELS: usize = 8;
 // Enable flags
 // ---------------------------------------------------------------------------
 
-/// Live collectors anywhere in the process (any [`Mode`]).
-static TIMING: AtomicU32 = AtomicU32::new(0);
-/// Live [`Mode::Full`] collectors anywhere in the process.
-static FULL: AtomicU32 = AtomicU32::new(0);
 /// Monotonic collector identifier, used to pair guards with the
 /// collector that was innermost when they opened.
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 
-/// True while any collector is live: span sites should record.
-/// One relaxed load — this is the *entire* cost of a span site when
-/// nobody is collecting.
-#[inline]
-pub fn timing_enabled() -> bool {
-    TIMING.load(Ordering::Relaxed) != 0
+thread_local! {
+    /// This thread's live collectors: `(any mode, Mode::Full only)`.  Kept
+    /// in step with the collector stack by [`collect`] and
+    /// [`Collector::finish`], so the flags below read one cell instead of
+    /// walking the stack.
+    static LIVE: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
 }
 
-/// True while a [`Mode::Full`] collector is live: odometer tick sites
-/// (the simulator hot path) should count.  One relaxed load when idle.
+/// True while a collector is live on this thread: span sites should
+/// record.  One thread-local load — this is the *entire* cost of a span
+/// site when the thread is not collecting.
+#[inline]
+pub fn timing_enabled() -> bool {
+    LIVE.with(|l| l.get().0 != 0)
+}
+
+/// True while a [`Mode::Full`] collector is live on this thread: odometer
+/// tick sites (the simulator hot path) should count.  One thread-local
+/// load when idle.
 #[inline]
 pub fn counters_enabled() -> bool {
-    FULL.load(Ordering::Relaxed) != 0
+    LIVE.with(|l| l.get().1 != 0)
+}
+
+/// Adds `by` (±1) to this thread's live-collector counts for `mode`.
+fn note_live(mode: Mode, by: i32) {
+    LIVE.with(|l| {
+        let (all, full) = l.get();
+        let full_by = if mode == Mode::Full { by } else { 0 };
+        l.set((all.wrapping_add_signed(by), full.wrapping_add_signed(full_by)));
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -191,7 +208,7 @@ pub fn snapshot() -> Counters {
 
 // Tick sites.  Each is gated on `counters_enabled` *inside* the callee so
 // call sites in the simulator stay a plain function call; when disabled
-// the inlined body is one relaxed load and a taken branch.
+// the inlined body is one thread-local load and a taken branch.
 
 /// Ticks demand accesses (called by `mbb-memsim::events`).
 #[inline]
@@ -285,8 +302,8 @@ pub enum Mode {
     /// Span wall/CPU timing only: the odometer stays off, so the
     /// simulator hot path pays nothing beyond its disabled-check loads.
     Timing,
-    /// Timing plus attributed counter deltas (turns the odometer on
-    /// process-wide for the collector's lifetime).
+    /// Timing plus attributed counter deltas (turns the collecting
+    /// thread's odometer on for the collector's lifetime).
     Full,
 }
 
@@ -370,10 +387,7 @@ thread_local! {
 /// record into the innermost one.
 pub fn collect(mode: Mode) -> Collector {
     let generation = GENERATION.fetch_add(1, Ordering::Relaxed);
-    TIMING.fetch_add(1, Ordering::Relaxed);
-    if mode == Mode::Full {
-        FULL.fetch_add(1, Ordering::Relaxed);
-    }
+    note_live(mode, 1);
     COLLECTORS.with(|c| {
         c.borrow_mut().push(CollectorState {
             generation,
@@ -405,10 +419,7 @@ impl Collector {
     }
 
     fn teardown(&self) -> Option<Profile> {
-        TIMING.fetch_sub(1, Ordering::Relaxed);
-        if self.mode == Mode::Full {
-            FULL.fetch_sub(1, Ordering::Relaxed);
-        }
+        note_live(self.mode, -1);
         COLLECTORS.with(|c| {
             let mut stack = c.borrow_mut();
             let pos = stack.iter().rposition(|s| s.generation == self.generation)?;
@@ -441,9 +452,9 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Opens a span with a static name.  The global [`timing_enabled`]
-    /// check comes first, so a disabled site never reaches the
-    /// thread-local.
+    /// Opens a span with a static name.  The [`timing_enabled`] check
+    /// comes first, so a disabled site never reaches the collector
+    /// stack.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
         if !timing_enabled() {
@@ -623,9 +634,12 @@ mod tests {
     fn counters_are_per_thread() {
         let c = collect(Mode::Full);
         std::thread::spawn(|| {
-            // The sibling thread ticks (the flag is global) but into its
-            // own odometer; nothing leaks into our spans.
+            // Our collector leaves the sibling thread's odometer off, and
+            // its ticks could only ever reach its own odometer anyway.
+            assert!(!counters_enabled());
+            let before = snapshot();
             tick_channel_bytes(0, 1_000_000);
+            assert_eq!(snapshot(), before);
         })
         .join()
         .unwrap();

@@ -440,7 +440,7 @@ fn expand_moves(state: &State, beam: usize, trace: &mut SearchTrace) -> Vec<Move
 /// Searches through the process-global score cache (what the CLI and
 /// server use, so concurrent searches share work).
 pub fn search(prog: &Program, opts: &SearchOptions) -> Result<SearchOutcome, SearchError> {
-    search_with_cache(prog, opts, ScoreCache::global())
+    search_with_cache(prog, opts, crate::cache::global())
 }
 
 /// Searches through an explicit score cache (tests and the perf gate use
@@ -492,6 +492,7 @@ pub fn search_with_cache(
             trace.cache_misses += 1;
         }
         trace.visited += 1;
+        let score = Score::clone(&score);
         let view = score_view(&score, opts.scorer_mutation);
         let tie = canon::fnv1a(&[&opts.seed.to_le_bytes()[..], spec.as_bytes()].concat());
         Ok(State { cand, prog, score, view, spec, tie })

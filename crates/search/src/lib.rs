@@ -15,7 +15,8 @@
 //! * [`candidate`] — [`candidate::Move`] / [`candidate::Candidate`]: the
 //!   sequence representation and its replayable spec grammar;
 //! * [`cache`] — [`cache::ScoreCache`]: content-addressed scores keyed
-//!   through [`mbb_core::canon`], honest-measurements-only;
+//!   through [`mbb_core::canon`] in the workspace's one single-flight
+//!   [`mbb_core::memo::Memo`], honest-measurements-only;
 //! * [`engine`] — [`engine::search`]: the beam search itself, seeded
 //!   with the fixed pipeline so it is never worse by construction, and
 //!   returning a reproducible [`engine::SearchTrace`].
@@ -24,7 +25,7 @@ pub mod cache;
 pub mod candidate;
 pub mod engine;
 
-pub use cache::{Score, ScoreCache, ScoreCacheStats};
+pub use cache::{Score, ScoreCache};
 pub use candidate::{Candidate, Move};
 pub use engine::{
     fixed_candidate, search, search_with_cache, ScoreView, SearchError, SearchOptions,

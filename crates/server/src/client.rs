@@ -11,6 +11,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use mbb_bench::json::Json;
+use mbb_ir::splitmix::splitmix64;
 
 use crate::error::{ErrorKind, ServeError};
 use crate::faults::{self, Site};
@@ -158,13 +159,6 @@ impl RetryPolicy {
         let jitter = 0.5 + (r % 1024) as f64 / 2048.0;
         exp.mul_f64(jitter)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// True for error codes worth retrying: overload shedding and transport
@@ -364,79 +358,6 @@ impl RetryClient {
             self.conn = None; // the stream state is unknown; drop it
         }
         out
-    }
-
-    /// Sends `req` on up to two connections, the second staggered by
-    /// `stagger`, and returns the first definitive response — hedging
-    /// tail latency when one worker is stalled.  Only for idempotent
-    /// kinds: the server may execute *both* copies, so `shutdown` is
-    /// refused.  Analysis kinds are safe — responses are pure functions
-    /// of the request line (and the loser usually lands in the cache).
-    pub fn call_hedged(&mut self, req: &Json, stagger: Duration) -> Result<Json, ServeError> {
-        if req.get("kind").and_then(|k| k.as_str()) == Some("shutdown") {
-            return Err(ServeError::new(
-                ErrorKind::BadRequest,
-                "refusing to hedge non-idempotent kind \"shutdown\"",
-            ));
-        }
-        if let Breaker::Open { until } = self.breaker {
-            if std::time::Instant::now() < until {
-                return Err(ServeError::new(
-                    ErrorKind::Busy,
-                    "circuit breaker open: failing fast during server overload",
-                ));
-            }
-            self.breaker = Breaker::HalfOpen;
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (delay, tx) in [(Duration::ZERO, tx.clone()), (stagger, tx)] {
-            let (addr, timeout, line) = (self.addr, self.timeout, req.render_compact());
-            std::thread::spawn(move || {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                let out = (|| {
-                    if faults::fire(Site::ClientConnect) {
-                        return Err(ServeError::new(
-                            ErrorKind::Io,
-                            "injected fault: client connect failed",
-                        ));
-                    }
-                    let mut conn = Client::connect(addr, timeout)?;
-                    let resp = conn.roundtrip_raw(&line)?;
-                    Json::parse(&resp).map_err(|e| {
-                        ServeError::new(ErrorKind::Io, format!("bad response: {e}: {resp}"))
-                    })
-                })();
-                // The receiver may have already taken the other leg's
-                // response and hung up; losing the race is fine.
-                let _ = tx.send(out);
-            });
-        }
-        let mut last = ServeError::new(ErrorKind::Io, "no hedge attempts made");
-        while let Ok(out) = rx.recv() {
-            match out {
-                Ok(resp) => {
-                    let code = resp
-                        .get("error")
-                        .and_then(|e| e.get("code"))
-                        .and_then(|c| c.as_str())
-                        .and_then(|code| ErrorKind::ALL.into_iter().find(|k| k.code() == code));
-                    match code {
-                        Some(kind) if retryable(kind) => {
-                            last = ServeError::new(kind, "retryable error on a hedge leg");
-                        }
-                        _ => {
-                            self.breaker_note(false);
-                            return Ok(resp);
-                        }
-                    }
-                }
-                Err(e) => last = e,
-            }
-        }
-        self.breaker_note(true);
-        Err(last)
     }
 }
 
@@ -668,14 +589,6 @@ mod tests {
         }
         let q = BreakerPolicy { seed: 2, ..p };
         assert!((0..8).any(|o| q.jittered(o) != p.jittered(o)), "seeds should stagger");
-    }
-
-    #[test]
-    fn hedging_refuses_non_idempotent_kinds() {
-        let mut c = test_client(0);
-        let e = c.call_hedged(&request("shutdown", None, ""), Duration::ZERO).unwrap_err();
-        assert_eq!(e.kind, ErrorKind::BadRequest);
-        assert!(e.message.contains("shutdown"), "{}", e.message);
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub enum Site {
     HandlerPanic,
     /// Sleep before handling a request (`server::respond`).
     HandlerDelay,
-    /// Fail a cache compute with an internal error (`cache::lead`).
+    /// Fail a cache compute with an internal error (the result-cache
+    /// compute in `server::respond`).
     CacheCompute,
     /// Drop the connection instead of reading the next request
     /// (`server::handle_conn`).
@@ -162,14 +163,6 @@ fn active() -> Option<Arc<Active>> {
     slot().lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
-#[cfg(feature = "faults")]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Draws at `site`; true when the installed plan says this pass faults.
 /// Unarmed, this is one relaxed atomic load and returns false.
 #[cfg(feature = "faults")]
@@ -180,7 +173,7 @@ pub fn fire(site: Site) -> bool {
         return false;
     }
     let draw = a.draws[site.index()].fetch_add(1, Ordering::Relaxed);
-    let r = splitmix64(a.plan.seed ^ ((site.index() as u64) << 56) ^ draw);
+    let r = mbb_ir::splitmix::splitmix64(a.plan.seed ^ ((site.index() as u64) << 56) ^ draw);
     let hit = (r % 1024) < rate as u64;
     if hit {
         a.fired[site.index()].fetch_add(1, Ordering::Relaxed);
@@ -223,10 +216,12 @@ pub fn handler_delay() -> Option<Duration> {
 /// to tell injected panics from real ones.
 pub const PANIC_PAYLOAD: &str = "injected fault: handler panic";
 
-// The armed plan is process-global, so unit tests anywhere in this crate
-// that install one must not overlap.
-#[cfg(all(test, feature = "faults"))]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+// The armed plan is process-global, so a unit test anywhere in this
+// crate that installs one holds this lock for writing, and a test that
+// sends requests through the fault sites holds it for reading: injected
+// faults never land in another test's requests.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
 #[cfg(all(test, feature = "faults"))]
 mod tests {
@@ -234,7 +229,7 @@ mod tests {
 
     #[test]
     fn unarmed_sites_never_fire() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         for site in Site::ALL {
             assert!(!fire(site));
             assert_eq!(fired(site), 0);
@@ -244,7 +239,7 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic_per_seed_and_counted() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         let run = |seed| {
             let _g = install(
                 FaultPlan::new(seed).rate(Site::HandlerPanic, 256).rate(Site::ConnRead, 64),
@@ -267,7 +262,7 @@ mod tests {
 
     #[test]
     fn guard_disarms_and_rates_clamp() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         {
             let _g = install(FaultPlan::new(1).rate(Site::CacheCompute, 4096));
             assert!(fire(Site::CacheCompute), "clamped to always-fire");

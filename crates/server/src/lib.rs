@@ -47,7 +47,6 @@ pub mod poll;
 pub mod protocol;
 pub mod ring;
 pub mod server;
-mod sync;
 
 pub use error::{ErrorKind, ServeError};
 pub use server::{serve, Config, Handle};

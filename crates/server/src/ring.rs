@@ -27,15 +27,7 @@
 //! what keeps "who owns key `k`" a pure function of configuration.
 
 use mbb_core::canon::fnv1a;
-
-/// SplitMix64-style finaliser: full-avalanche mixing over the FNV value,
-/// so vnode points land uniformly on the circle even for short, nearly
-/// identical peer names.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use mbb_ir::splitmix::mix64;
 
 /// A consistent-hash ring over named peers.
 #[derive(Clone, Debug)]
@@ -63,7 +55,10 @@ impl Ring {
             points.reserve(names.len() * Ring::VNODES);
             for (idx, name) in names.iter().enumerate() {
                 for replica in 0..Ring::VNODES {
-                    points.push((mix(fnv1a(format!("{name}\0{replica}").as_bytes())), idx));
+                    // Full-avalanche mixing over the FNV value, so vnode
+                    // points land uniformly on the circle even for short,
+                    // nearly identical peer names.
+                    points.push((mix64(fnv1a(format!("{name}\0{replica}").as_bytes())), idx));
                 }
             }
             points.sort_unstable();

@@ -37,6 +37,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mbb_bench::json::Json;
+use mbb_core::sync::{lock, wait_timeout};
 use mbb_ir::budget::Budget;
 
 use crate::analysis;
@@ -51,7 +52,6 @@ use crate::overload::{
 };
 use crate::poll::Poller;
 use crate::protocol::{self, Kind, RequestBudget};
-use crate::sync::{lock, wait_timeout};
 
 /// Server configuration (see `mbbc serve` for the CLI spelling).
 #[derive(Clone, Debug)]
@@ -943,7 +943,14 @@ fn respond(
                     }
                 }
             }
-            let (val, hit) = shared.cache.get_or_compute(key, || {
+            let no_wait = || Ok(());
+            let (val, hit) = shared.cache.get_or_compute(key, no_wait, || {
+                if faults::fire(Site::CacheCompute) {
+                    return Err(ServeError::new(
+                        ErrorKind::Internal,
+                        "injected fault: cache compute failed",
+                    ));
+                }
                 let a = compute()?;
                 Ok(Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact())
             })?;
@@ -956,8 +963,15 @@ fn respond(
 mod tests {
     use super::*;
 
+    /// [`process_line`] under a read hold on the fault-plan test lock, so
+    /// a test that arms injected faults never fires them into this one.
+    fn process_quiet(line: &[u8], shared: &Shared, queue_age: Duration) -> (String, bool) {
+        let _quiet = crate::faults::TEST_LOCK.read().unwrap_or_else(|p| p.into_inner());
+        process_line(line, shared, queue_age)
+    }
+
     fn process(shared: &Shared, line: &str) -> Json {
-        let (resp, _) = process_line(line.as_bytes(), shared, Duration::ZERO);
+        let (resp, _) = process_quiet(line.as_bytes(), shared, Duration::ZERO);
         Json::parse(&resp).expect("response is valid JSON")
     }
 
@@ -1030,7 +1044,7 @@ mod tests {
     #[test]
     fn shutdown_request_flags_a_drain() {
         let shared = test_shared();
-        let (resp, drain) = process_line(
+        let (resp, drain) = process_quiet(
             b"{\"schema\":\"mbb-serve/1\",\"kind\":\"shutdown\"}",
             &shared,
             Duration::ZERO,
@@ -1186,8 +1200,11 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn injected_handler_panic_yields_internal_error_and_counts() {
-        let _t = crate::faults::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = crate::faults::TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         let shared = test_shared();
+        let process = |shared: &Shared, line: &str| {
+            Json::parse(&process_line(line.as_bytes(), shared, Duration::ZERO).0).unwrap()
+        };
         let resp = {
             let _g = crate::faults::install(
                 crate::faults::FaultPlan::new(3).rate(Site::HandlerPanic, 1024),
@@ -1275,7 +1292,7 @@ mod tests {
     #[test]
     fn optimize_search_round_trips_and_repeats_byte_identically_from_cache() {
         let shared = test_shared();
-        let (first_raw, _) = process_line(SEARCH_REQ.as_bytes(), &shared, Duration::ZERO);
+        let (first_raw, _) = process_quiet(SEARCH_REQ.as_bytes(), &shared, Duration::ZERO);
         let first = Json::parse(&first_raw).expect("valid JSON");
         assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first:?}");
         assert_eq!(first.get("cached"), Some(&Json::Bool(false)));
@@ -1289,7 +1306,7 @@ mod tests {
 
         // A second identical request is a cache hit, and the response
         // bytes differ from the miss only in the `cached` flag.
-        let (second_raw, _) = process_line(SEARCH_REQ.as_bytes(), &shared, Duration::ZERO);
+        let (second_raw, _) = process_quiet(SEARCH_REQ.as_bytes(), &shared, Duration::ZERO);
         let second = Json::parse(&second_raw).expect("valid JSON");
         assert_eq!(second.get("cached"), Some(&Json::Bool(true)), "{second:?}");
         assert_eq!(
@@ -1311,7 +1328,7 @@ mod tests {
         // the expired request ever reached `analysis::load`, the answer
         // would be a `validate` error, not `deadline_exceeded`.
         let invalid = "{\"schema\":\"mbb-serve/1\",\"kind\":\"report\",\"program\":\"array a[16]\\nfor i = 0, 3\\n  for i = 0, 3\\n    a[i] = 1\\n  end for\\nend for\\n\"}";
-        let (resp, _) = process_line(invalid.as_bytes(), &shared, Duration::from_millis(200));
+        let (resp, _) = process_quiet(invalid.as_bytes(), &shared, Duration::from_millis(200));
         let doc = Json::parse(&resp).unwrap();
         assert_eq!(error_code(&doc).as_deref(), Some("deadline_exceeded"), "{doc:?}");
         assert_eq!(
@@ -1336,7 +1353,7 @@ mod tests {
             request_deadline: Some(Duration::from_millis(50)),
             ..Config::default()
         }));
-        let (resp, _) = process_line(BIG_REQ.as_bytes(), &shared, Duration::from_millis(40));
+        let (resp, _) = process_quiet(BIG_REQ.as_bytes(), &shared, Duration::from_millis(40));
         let doc = Json::parse(&resp).unwrap();
         assert_eq!(error_code(&doc).as_deref(), Some("deadline_exceeded"), "{doc:?}");
         assert_eq!(shared.metrics.shed_of(Class::Optimize, Reason::Admission), 1);
@@ -1444,7 +1461,7 @@ mod tests {
             "\"options\":{\"beam\":2,\"search_steps\":2}",
             "\"options\":{\"beam\":4,\"search_steps\":5}",
         );
-        let (baseline_raw, _) = process_line(wide.as_bytes(), &shared, Duration::ZERO);
+        let (baseline_raw, _) = process_quiet(wide.as_bytes(), &shared, Duration::ZERO);
         let baseline = Json::parse(&baseline_raw).unwrap();
         assert_eq!(baseline.get("ok"), Some(&Json::Bool(true)), "{baseline:?}");
 
@@ -1480,7 +1497,7 @@ mod tests {
 
         // Back at level 0 the warm entry replays byte-identically.
         shared.metrics.brownout_level.store(0, Ordering::Relaxed);
-        let (hit_raw, _) = process_line(wide.as_bytes(), &shared, Duration::ZERO);
+        let (hit_raw, _) = process_quiet(wide.as_bytes(), &shared, Duration::ZERO);
         assert_eq!(
             baseline_raw.replace("\"cached\":false", "\"cached\":true"),
             hit_raw,

@@ -36,7 +36,8 @@ const HUGE: &str = "program huge\narray a[8]\nscalar s = 0  // printed\nfor i = 
 
 /// Serialises the tests that arm the process-global fault plan —
 /// concurrent `faults::install` calls panic by design, and an armed plan
-/// would bleed into the other test's server anyway.
+/// would bleed into the other test's server anyway — with the test that
+/// needs no faults in the way.
 static ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const THREADS: usize = 4;
@@ -289,6 +290,7 @@ fn run_seed(seed: u64) {
 #[test]
 fn budget_outcomes_are_engine_invariant() {
     quiet_injected_panics();
+    let _arm = ARM_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let (addr, handle, server) = start(Config { workers: 2, ..Config::default() });
     let mut client = Client::connect(addr, Duration::from_secs(10)).expect("connect");
 
